@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check lint lint-budget budget lint-fix-scan vet build test race bench-smoke fuzz-smoke chaos-smoke storm-smoke bench bench-full
+.PHONY: all check lint lint-budget budget lint-fix-scan vet build test perfbench race bench-smoke fuzz-smoke chaos-smoke storm-smoke bench bench-full
 
 all: check
 
@@ -10,8 +10,10 @@ all: check
 # fast paths, a short fuzz run over the wire-format parsers, and a
 # short-seed chaos run (determinism plus HIP-recovers-the-migration, via
 # the fault-injection harness), and a short-seed storm run
-# (control-plane overload under mass evacuation).
-check: lint budget vet build test race bench-smoke fuzz-smoke chaos-smoke storm-smoke
+# (control-plane overload under mass evacuation). The benchmark harness
+# under _perfbench/ is its own module, so it is vetted and tested
+# separately: an API change in the packages it drives fails the gate.
+check: lint budget vet build test perfbench race bench-smoke fuzz-smoke chaos-smoke storm-smoke
 
 # hiplint (cmd/hiplint + internal/analysis) machine-checks the DESIGN.md
 # §5a contracts: buffer ownership (bufown), append-API aliasing
@@ -50,6 +52,10 @@ build:
 
 test:
 	$(GO) test ./...
+
+perfbench:
+	$(GO) -C _perfbench vet ./...
+	$(GO) -C _perfbench test ./...
 
 # Race detection is scoped to the packages that actually run concurrent
 # goroutines sharing state: netsim (scheduler handoff between process
@@ -90,6 +96,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadRequest$$ -fuzztime=$(FUZZTIME) ./internal/microhttp
 	$(GO) test -run=NONE -fuzz=FuzzReadResponse$$ -fuzztime=$(FUZZTIME) ./internal/microhttp
 	$(GO) test -run=NONE -fuzz=FuzzParseMessage$$ -fuzztime=$(FUZZTIME) ./internal/hipdns
+	$(GO) test -run=NONE -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/hipwire
+	$(GO) test -run=NONE -fuzz=FuzzSegment$$ -fuzztime=$(FUZZTIME) ./internal/stream
 
 # Short-seed chaos run: drives the RUBiS tiers through the fault
 # schedule (internal/faults) for all three scenarios and prints the

@@ -54,12 +54,13 @@ type HotRoot struct {
 // DefaultHotRoots is the explicit hot-set contract, mirrored in
 // DESIGN.md §5a: the run-to-completion event dispatch and timer wheel
 // (netsim), the rx/tx packet paths, the simtcp/hipsim kick/service
-// pumps, the ESP and TLS record seal/open fast paths, and the HIP
-// packet/timer handlers. Everything statically reachable from these is
-// hot; a function joins through interface dispatch only when the
-// dispatch *must* land on it (single module implementor — PR 8's
-// must-semantics, so a cold alternate implementor does not drag its
-// siblings in, and an ambiguous call site condemns nobody).
+// pumps, the ESP and TLS record seal/open fast paths, the HIP
+// packet/timer handlers and the real-UDP driver's data path (hipudp).
+// Everything statically reachable from these is hot; a function joins
+// through interface dispatch only when the dispatch *must* land on it
+// (single module implementor — must-semantics, so a cold
+// alternate implementor does not drag its siblings in, and an ambiguous
+// call site condemns nobody).
 var DefaultHotRoots = []HotRoot{
 	{"netsim", "Sim", "Run"},
 	{"netsim", "Sim", "fire"},
@@ -84,6 +85,9 @@ var DefaultHotRoots = []HotRoot{
 	{"tlslite", "Conn", "openRecordInPlace"},
 	{"hip", "Host", "OnPacket"},
 	{"hip", "Host", "OnTimer"},
+	{"hipudp", "Stack", "pumpLocked"},
+	{"hipudp", "Stack", "onData"},
+	{"hipudp", "Stack", "transmit"},
 }
 
 // HotInfo records how one function joined the hot set.

@@ -6,7 +6,9 @@
 // amd64 table) are declared here. Everything the kernel dereferences —
 // iovecs, sockaddr storage, the mmsghdr vector itself — lives in the
 // engine structs, which the calling goroutine keeps alive across the
-// syscall.
+// syscall. Each engine builds its RawConn callback once and passes
+// arguments and results through its own fields, so a batch costs no
+// closure allocation.
 package hipudp
 
 import (
@@ -32,9 +34,37 @@ type txEngine struct {
 	iovs [txBatchSize]syscall.Iovec
 	sa4  [txBatchSize]syscall.RawSockaddrInet4
 	sa6  [txBatchSize]syscall.RawSockaddrInet6
+
+	// One sendmmsg: n messages in, sent and errno out.
+	n, sent int
+	errno   syscall.Errno
+	writeFn func(fd uintptr) bool
 }
 
-func newTxEngine() *txEngine { return &txEngine{} }
+func newTxEngine() *txEngine {
+	e := &txEngine{}
+	e.writeFn = e.sendmmsg
+	return e
+}
+
+// sendmmsg is the RawConn.Write callback: it reports false to wait for
+// writability on EAGAIN.
+func (e *txEngine) sendmmsg(fd uintptr) bool {
+	for {
+		r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
+			uintptr(unsafe.Pointer(&e.msgs[0])), uintptr(e.n), 0, 0, 0)
+		switch errno {
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		case 0:
+			e.sent = int(r)
+		}
+		e.errno = errno
+		return true
+	}
+}
 
 // send transmits up to txBatchSize frames with one sendmmsg. A nil
 // RawConn (SyscallConn failed at startup) falls back to the loop.
@@ -56,7 +86,8 @@ func (e *txEngine) send(pc *net.UDPConn, rc syscall.RawConn, batch []txPacket) (
 		if addr.Is4() || addr.Is4In6() {
 			sa := &e.sa4[i]
 			sa.Family = syscall.AF_INET
-			sa.Addr = addr.As4()
+			a16 := addr.As16() // the IPv4 address is its low 4 bytes
+			sa.Addr = [4]byte(a16[12:])
 			binary.BigEndian.PutUint16((*[2]byte)(unsafe.Pointer(&sa.Port))[:], p.ep.Port())
 			h.Name = (*byte)(unsafe.Pointer(sa))
 			h.Namelen = uint32(unsafe.Sizeof(*sa))
@@ -70,38 +101,49 @@ func (e *txEngine) send(pc *net.UDPConn, rc syscall.RawConn, batch []txPacket) (
 		}
 		e.msgs[i].Len = 0
 	}
-	werr := rc.Write(func(fd uintptr) bool {
-		for {
-			r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&e.msgs[0])), uintptr(n), 0, 0, 0)
-			switch errno {
-			case 0:
-				sent = int(r)
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false // wait for writability, then retry
-			default:
-				err = errno
-				return true
-			}
-		}
-	})
-	nsys = 1
-	if werr != nil && err == nil {
-		err = werr
+	e.n, e.sent, e.errno = n, 0, 0
+	err = rc.Write(e.writeFn)
+	if e.errno != 0 {
+		err = e.errno
 	}
-	return sent, nsys, err
+	return e.sent, 1, err
 }
 
 type rxEngine struct {
 	msgs  [rxBatchMax]mmsghdr
 	iovs  [rxBatchMax]syscall.Iovec
 	names [rxBatchMax]syscall.RawSockaddrAny
+
+	// One recvmmsg: n slots in, cnt and errno out.
+	n, cnt int
+	errno  syscall.Errno
+	readFn func(fd uintptr) bool
 }
 
-func newRxEngine() *rxEngine { return &rxEngine{} }
+func newRxEngine() *rxEngine {
+	e := &rxEngine{}
+	e.readFn = e.recvmmsg
+	return e
+}
+
+// recvmmsg is the RawConn.Read callback: it reports false to wait for
+// readability on EAGAIN.
+func (e *rxEngine) recvmmsg(fd uintptr) bool {
+	for {
+		r, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
+			uintptr(unsafe.Pointer(&e.msgs[0])), uintptr(e.n), 0, 0, 0)
+		switch errno {
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		case 0:
+			e.cnt = int(r)
+		}
+		e.errno = errno
+		return true
+	}
+}
 
 // read drains up to len(bufs) datagrams with one recvmmsg, filling
 // sizes and source endpoints per message.
@@ -124,33 +166,16 @@ func (e *rxEngine) read(pc *net.UDPConn, rc syscall.RawConn, bufs [][]byte, size
 		}
 		e.msgs[i].Len = 0
 	}
-	rerr := rc.Read(func(fd uintptr) bool {
-		for {
-			r, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
-				uintptr(unsafe.Pointer(&e.msgs[0])), uintptr(n), 0, 0, 0)
-			switch errno {
-			case 0:
-				cnt = int(r)
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false // wait for readability, then retry
-			default:
-				err = errno
-				return true
-			}
-		}
-	})
-	nsys = 1
-	if rerr != nil && err == nil {
-		err = rerr
+	e.n, e.cnt, e.errno = n, 0, 0
+	err = rc.Read(e.readFn)
+	if e.errno != 0 {
+		err = e.errno
 	}
-	for i := 0; i < cnt; i++ {
+	for i := 0; i < e.cnt; i++ {
 		sizes[i] = int(e.msgs[i].Len)
 		eps[i] = rawToAddrPort(&e.names[i])
 	}
-	return cnt, nsys, err
+	return e.cnt, 1, err
 }
 
 // rawToAddrPort converts a kernel-filled sockaddr to netip form.

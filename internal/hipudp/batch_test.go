@@ -90,7 +90,7 @@ func echoBytes(t *testing.T, a, b *Stack, total int) {
 }
 
 // TestSyncWriteErrorSurfaces is the regression test for the old
-// writeFrame silently discarding WriteToUDPAddrPort's error and byte
+// frame writer silently discarding WriteToUDPAddrPort's error and byte
 // count: with the synchronous engine, a write on a closed socket must
 // bump TxErrors and surface through TxErr.
 func TestSyncWriteErrorSurfaces(t *testing.T) {
@@ -106,12 +106,12 @@ func TestSyncWriteErrorSurfaces(t *testing.T) {
 		t.Fatal("Options{} must not start the async sender")
 	}
 	ep := netip.MustParseAddrPort("127.0.0.1:9")
-	s.writeFrame(frameESP, ep, []byte("ok"))
+	s.writeControl(ep, []byte("ok"))
 	if st := s.Stats(); st.TxErrors != 0 || st.TxPackets != 1 {
 		t.Fatalf("healthy write: TxErrors=%d TxPackets=%d, want 0/1", st.TxErrors, st.TxPackets)
 	}
 	s.pc.Close() // break the socket under the stack
-	s.writeFrame(frameESP, ep, []byte("lost"))
+	s.writeControl(ep, []byte("lost"))
 	st := s.Stats()
 	if st.TxErrors != 1 {
 		t.Fatalf("TxErrors = %d after write on closed socket, want 1", st.TxErrors)
@@ -139,7 +139,7 @@ func TestBatchedWriteErrorSurfaces(t *testing.T) {
 	s.pc.Close() // break the socket under the stack
 	ep := netip.MustParseAddrPort("127.0.0.1:9")
 	for i := 0; i < 4; i++ {
-		s.writeFrame(frameESP, ep, []byte("lost"))
+		s.writeControl(ep, []byte("lost"))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Stats().TxErrors == 0 {

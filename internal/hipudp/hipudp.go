@@ -8,6 +8,14 @@
 // Framing: one UDP socket carries both planes, distinguished by a leading
 // byte (0 = HIP control packet, 1 = ESP). Inside ESP, payloads use the
 // same inner-type byte + port-pair mux as the simulator fabric.
+//
+// Buffers follow the simulator's ownership contract (netsim.GetBuf /
+// PutBuf): every outgoing frame is one pooled buffer, sealed in place
+// after its type byte and released by whichever engine writes it to the
+// socket (or drops it). Inbound ESP is opened straight out of the
+// receive arena into per-stack scratch, which the stream core copies
+// from; only HIP control packets are copied out of the arena, because
+// the control plane may retain them.
 package hipudp
 
 import (
@@ -22,7 +30,9 @@ import (
 	"syscall"
 	"time"
 
+	"hipcloud/internal/esp"
 	"hipcloud/internal/hip"
+	"hipcloud/internal/netsim"
 	"hipcloud/internal/stream"
 )
 
@@ -36,6 +46,10 @@ const (
 const (
 	innerStream byte = 1
 )
+
+// muxHeader is the inner ESP header in front of each stream segment: the
+// inner type byte, then the sender's and receiver's ports.
+const muxHeader = 5
 
 // Errors returned by the stack.
 var (
@@ -94,6 +108,12 @@ type Stack struct {
 
 	closed bool
 	done   chan struct{}
+
+	// Data-path scratch, guarded by mu: the segments one pump drains and
+	// the plaintext one inbound ESP packet opens into. Both are reused for
+	// every packet; the stream core copies what it keeps.
+	segs   []stream.Segment
+	rxOpen []byte
 
 	// Socket counters and the async sender (nil when TxShards == 0).
 	stats   ioStats
@@ -223,8 +243,9 @@ func (s *Stack) Close() error {
 }
 
 // readLoop drains inbound datagrams in recvmmsg-sized vectors and
-// dispatches them. Each datagram is still copied out of the reusable
-// receive arena before the protocol cores see it.
+// dispatches them. ESP frames are opened in place from the reusable
+// receive arena; HIP control packets are copied out of it, since the
+// control plane may hold on to them.
 func (s *Stack) readLoop() {
 	eng := newRxEngine()
 	nbuf := s.opts.RxBatch
@@ -254,13 +275,11 @@ func (s *Stack) readLoop() {
 				continue
 			}
 			buf := bufs[i]
-			data := make([]byte, n-1)
-			copy(data, buf[1:n])
 			switch buf[0] {
 			case frameHIP:
-				s.onControl(data, eps[i])
+				s.onControl(append([]byte(nil), buf[1:n]...), eps[i])
 			case frameESP:
-				s.onData(data)
+				s.onData(buf[1:n])
 			}
 		}
 		if err != nil {
@@ -294,17 +313,24 @@ func (s *Stack) onControl(data []byte, from netip.AddrPort) {
 	s.flushLocked()
 }
 
-func (s *Stack) onData(data []byte) {
+// onData opens one inbound ESP packet, which aliases the receive arena
+// and is dead once this returns, into the stack's reusable plaintext
+// scratch and feeds the segment to its conn.
+func (s *Stack) onData(pkt []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	payload, peerHIT, err := s.host.OpenData(data, false)
+	payload, peerHIT, err := s.host.OpenDataAppend(s.rxOpen[:0], pkt, false)
 	s.host.TakeCost()
-	if err != nil || len(payload) < 1+4 || payload[0] != innerStream {
+	if err != nil {
+		return
+	}
+	s.rxOpen = payload[:0] // keep the grown capacity for the next packet
+	if len(payload) < muxHeader || payload[0] != innerStream {
 		return
 	}
 	remotePort := binary.BigEndian.Uint16(payload[1:])
 	localPort := binary.BigEndian.Uint16(payload[3:])
-	seg, err := stream.ParseSegment(payload[5:])
+	seg, err := stream.ParseSegment(payload[muxHeader:])
 	if err != nil {
 		return
 	}
@@ -331,7 +357,7 @@ func (s *Stack) onData(data []byte) {
 // waiters. Callers hold s.mu.
 func (s *Stack) flushLocked() {
 	for _, op := range s.host.Outgoing() {
-		s.writeFrame(frameHIP, s.controlEndpoint(op), op.Data)
+		s.writeControl(s.controlEndpoint(op), op.Data)
 	}
 	for _, ev := range s.host.Events() {
 		var res error
@@ -371,11 +397,18 @@ func (s *Stack) controlEndpoint(op hip.OutPacket) netip.AddrPort {
 	return netip.AddrPortFrom(op.Dst, uint16(s.LocalAddr().Port))
 }
 
-func (s *Stack) writeFrame(typ byte, ep netip.AddrPort, data []byte) {
-	buf := make([]byte, 1+len(data))
-	buf[0] = typ
-	copy(buf[1:], data)
-	p := txPacket{buf: buf, ep: ep}
+// writeControl frames a HIP control packet into a pooled buffer and
+// sends it.
+func (s *Stack) writeControl(ep netip.AddrPort, data []byte) {
+	frame := netsim.GetBuf(1 + len(data))
+	frame[0] = frameHIP
+	copy(frame[1:], data)
+	s.send(txPacket{buf: frame, ep: ep})
+}
+
+// send hands a framed datagram to the tx engine, which owns p.buf from
+// here on and releases it to the pool once it is written or dropped.
+func (s *Stack) send(p txPacket) {
 	if s.sender != nil {
 		s.sender.enqueue(s, p)
 		return
@@ -387,6 +420,7 @@ func (s *Stack) writeFrame(typ byte, ep netip.AddrPort, data []byte) {
 // short writes are counted and retained instead of being discarded.
 func (s *Stack) writeNow(p txPacket) {
 	n, err := s.pc.WriteToUDPAddrPort(p.buf, p.ep)
+	netsim.PutBuf(p.buf)
 	s.stats.txSyscalls.Add(1)
 	s.stats.txBatches.Add(1)
 	if err == nil && n != len(p.buf) {
@@ -467,7 +501,7 @@ func (s *Stack) newConnLocked(key connKey) *Conn {
 	c := &Conn{
 		stack: s,
 		key:   key,
-		inner: stream.New(stream.Config{}, s.rng.Uint32()),
+		inner: stream.New(stream.Config{Pool: netsim.BufPool{}}, s.rng.Uint32()),
 	}
 	c.cond = sync.NewCond(&s.mu)
 	s.conns[key] = c
@@ -475,36 +509,59 @@ func (s *Stack) newConnLocked(key connKey) *Conn {
 }
 
 // pumpLocked flushes a conn's outgoing segments through ESP. Callers hold
-// s.mu.
+// s.mu. Each segment is marshaled behind the mux header into a pooled
+// plaintext buffer and sealed straight into a pooled frame after its
+// type byte; the frame then belongs to the tx engine.
 func (s *Stack) pumpLocked(c *Conn) {
-	segs, deadline := c.inner.Poll(s.now())
+	segs, deadline := c.inner.PollAppend(s.segs[:0], s.now())
 	c.deadline = deadline
-	for _, seg := range segs {
-		wire := seg.Marshal()
-		payload := make([]byte, 5+len(wire))
-		payload[0] = innerStream
-		binary.BigEndian.PutUint16(payload[1:], c.key.localPort)
-		binary.BigEndian.PutUint16(payload[3:], c.key.remotePort)
-		copy(payload[5:], wire)
-		pkt, dst, err := s.host.SealData(c.key.peer, payload, false)
+	for i, seg := range segs {
+		plain := netsim.GetBuf(muxHeader + stream.HeaderSize + len(seg.Payload))
+		mux := (*[muxHeader]byte)(plain)
+		mux[0] = innerStream
+		binary.BigEndian.PutUint16(mux[1:], c.key.localPort)
+		binary.BigEndian.PutUint16(mux[3:], c.key.remotePort)
+		seg.MarshalInto(plain[muxHeader:])
+		// The payload came from the stream core's pool (Config.Pool); it
+		// is dead once marshaled.
+		netsim.PutBuf(seg.Payload)
+		frame := netsim.GetBuf(1 + len(plain) + esp.MaxOverhead)
+		frame[0] = frameESP
+		pkt, dst, err := s.host.SealDataAppend(frame[:1], c.key.peer, plain, false)
 		s.host.TakeCost()
+		netsim.PutBuf(plain)
 		if err != nil {
-			c.inner.Abort()
-			return
-		}
-		// ESP destinations resolve by peer HIT first (shared-IP safety).
-		ep, ok := s.hitToEP[c.key.peer]
-		if !ok || ep.Addr() != dst {
-			if pep, ok2 := s.peers[c.key.peer]; ok2 && pep.Addr() == dst {
-				ep = pep
-			} else if lep, ok3 := s.locToEP[dst]; ok3 {
-				ep = lep
-			} else {
-				continue
+			netsim.PutBuf(frame)
+			for _, rest := range segs[i+1:] {
+				netsim.PutBuf(rest.Payload)
 			}
+			c.inner.Abort()
+			break
 		}
-		s.writeFrame(frameESP, ep, pkt)
+		ep, ok := s.espEndpoint(c.key.peer, dst)
+		if !ok {
+			netsim.PutBuf(pkt)
+			continue
+		}
+		// pkt is frame grown in place: the type byte plus the ESP packet.
+		s.send(txPacket{buf: pkt, ep: ep})
 	}
+	clear(segs) // drop payload references
+	s.segs = segs[:0]
+}
+
+// espEndpoint resolves where an ESP packet to peer's locator dst goes:
+// by peer HIT first (shared-IP safety), then by registered peers, then
+// by locator.
+func (s *Stack) espEndpoint(peer, dst netip.Addr) (netip.AddrPort, bool) {
+	if ep, ok := s.hitToEP[peer]; ok && ep.Addr() == dst {
+		return ep, true
+	}
+	if ep, ok := s.peers[peer]; ok && ep.Addr() == dst {
+		return ep, true
+	}
+	ep, ok := s.locToEP[dst]
+	return ep, ok
 }
 
 // Dial opens a reliable stream to peerHIT:port over ESP.

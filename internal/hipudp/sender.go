@@ -1,12 +1,17 @@
 package hipudp
 
 import (
+	"encoding/binary"
 	"hash/maphash"
 	"net/netip"
 	"sync"
+
+	"hipcloud/internal/netsim"
 )
 
-// txPacket is one framed datagram awaiting transmission.
+// txPacket is one framed datagram awaiting transmission. buf is a pooled
+// frame (netsim.GetBuf) that the tx engine owns and releases once the
+// datagram is written, refused by the socket or dropped.
 type txPacket struct {
 	buf []byte
 	ep  netip.AddrPort
@@ -64,21 +69,20 @@ func (sd *sender) shardFor(ep netip.AddrPort) *senderShard {
 	if len(sd.shards) == 1 {
 		return sd.shards[0]
 	}
-	var h maphash.Hash
-	h.SetSeed(sd.seed)
-	b := ep.Addr().As16()
-	h.Write(b[:])
-	h.WriteByte(byte(ep.Port() >> 8))
-	h.WriteByte(byte(ep.Port()))
-	return sd.shards[h.Sum64()%uint64(len(sd.shards))]
+	var key [18]byte
+	*(*[16]byte)(key[:]) = ep.Addr().As16()
+	binary.BigEndian.PutUint16(key[16:], ep.Port())
+	return sd.shards[maphash.Bytes(sd.seed, key[:])%uint64(len(sd.shards))]
 }
 
-// enqueue hands a frame to its shard, dropping on overflow.
+// enqueue hands a frame to its shard, dropping (and releasing) it on
+// overflow or after close.
 func (sd *sender) enqueue(s *Stack, p txPacket) {
 	sh := sd.shardFor(p.ep)
 	sh.mu.Lock()
 	if sh.closed || len(sh.queue) >= txQueueCap {
 		sh.mu.Unlock()
+		netsim.PutBuf(p.buf)
 		s.stats.txDrops.Add(1)
 		return
 	}
@@ -126,8 +130,10 @@ func (s *Stack) senderLoop(sh *senderShard) {
 }
 
 // transmit pushes one batch through the platform engine, retrying
-// partial progress and folding results into the stats.
+// partial progress and folding results into the stats. Every frame in
+// the batch, sent or refused, goes back to the pool afterwards.
 func (s *Stack) transmit(eng *txEngine, batch []txPacket) {
+	all := batch
 	for len(batch) > 0 {
 		sent, nsys, err := eng.send(s.pc, s.rc, batch)
 		s.stats.txSyscalls.Add(uint64(nsys))
@@ -146,5 +152,9 @@ func (s *Stack) transmit(eng *txEngine, batch []txPacket) {
 				batch = batch[1:]
 			}
 		}
+	}
+	for i := range all {
+		netsim.PutBuf(all[i].buf)
+		all[i].buf = nil
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
+	"encoding/binary"
 	"hash"
 )
 
@@ -63,38 +65,50 @@ func (m *MAC) Zeroize() {
 	m.sum = [sha256.Size]byte{}
 }
 
-// CTRScratch holds the counter and keystream blocks CTRXor works in.
-// Embedding it in a long-lived owner (an SA, a connection) keeps the
-// blocks off the per-packet heap: they must not live on CTRXor's own
-// stack because they are passed through the cipher.Block interface,
-// which forces them to escape.
+// ctrChunk is how many keystream blocks CTRXor builds per pass: enough
+// that one vectorized XOR covers several blocks, small enough that the
+// scratch stays a few cache lines per SA.
+const ctrChunk = 8
+
+// CTRScratch holds the keystream chunk CTRXor works in. Embedding it in
+// a long-lived owner (an SA, a connection) keeps the blocks off the
+// per-packet heap: they must not live on CTRXor's own stack because they
+// are passed through the cipher.Block interface, which forces them to
+// escape.
 type CTRScratch struct {
-	ctr, ks [16]byte
+	ks [ctrChunk * 16]byte
 }
 
 // CTRXor applies AES-CTR keystream derived from block and iv to src,
 // writing into dst (dst and src must either overlap entirely or not at
 // all, and len(dst) >= len(src)). Unlike cipher.NewCTR it allocates no
 // stream state, so per-packet encryption stays on the zero-allocation
-// fast path; the counter is the big-endian increment of iv, matching
-// cipher.NewCTR's layout so wire formats are unchanged.
+// fast path; the counter is the big-endian 128-bit increment of iv,
+// matching cipher.NewCTR's layout so wire formats are unchanged. The
+// keystream is built ctrChunk blocks at a time and applied with one
+// subtle.XORBytes per chunk.
 func CTRXor(block cipher.Block, scratch *CTRScratch, iv *[16]byte, dst, src []byte) {
-	scratch.ctr = *iv
+	hi := binary.BigEndian.Uint64(iv[:8])
+	lo := binary.BigEndian.Uint64(iv[8:])
+	ks := scratch.ks[:]
 	for len(src) > 0 {
-		block.Encrypt(scratch.ks[:], scratch.ctr[:])
-		n := len(src)
-		if n > 16 {
-			n = 16
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = src[i] ^ scratch.ks[i]
-		}
-		for i := 15; i >= 0; i-- {
-			scratch.ctr[i]++
-			if scratch.ctr[i] != 0 {
-				break
+		n := min(len(src), len(ks))
+		// len(ks) is a whole number of blocks, so blocks never runs short
+		// before n is covered; the length test lets the compiler drop the
+		// bounds checks.
+		blocks := ks
+		for off := 0; off < n && len(blocks) >= 16; off += 16 {
+			b := (*[16]byte)(blocks)
+			blocks = blocks[16:]
+			binary.BigEndian.PutUint64(b[:8], hi)
+			binary.BigEndian.PutUint64(b[8:], lo)
+			block.Encrypt(b[:], b[:])
+			lo++
+			if lo == 0 {
+				hi++
 			}
 		}
+		subtle.XORBytes(dst, src[:n], ks[:n])
 		dst, src = dst[n:], src[n:]
 	}
 }

@@ -61,7 +61,9 @@ func TestCTRXorMatchesStdlib(t *testing.T) {
 		t.Fatal(err)
 	}
 	iv := [16]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe}
-	for _, n := range []int{0, 1, 15, 16, 17, 64, 1400, 1441} {
+	chunk := len(CTRScratch{}.ks)
+	for _, n := range []int{0, 1, 15, 16, 17, 64, 1400, 1441,
+		chunk - 1, chunk, chunk + 1, 2*chunk + 1} {
 		src := bytes.Repeat([]byte{0xA5}, n)
 		want := make([]byte, n)
 		cipher.NewCTR(block, iv[:]).XORKeyStream(want, src)
@@ -71,6 +73,9 @@ func TestCTRXorMatchesStdlib(t *testing.T) {
 		CTRXor(block, &scratch, &ivCopy, got, src)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("CTRXor mismatch at len %d (counter carry case)", n)
+		}
+		if ivCopy != iv {
+			t.Fatalf("CTRXor modified the caller's IV at len %d", n)
 		}
 		// In-place operation must give the same result.
 		inPlace := append([]byte(nil), src...)
@@ -93,5 +98,17 @@ func TestCTRXorZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("CTRXor allocates %v times per run, want 0", allocs)
+	}
+}
+
+func BenchmarkCTRXor1400(b *testing.B) {
+	block, _ := aes.NewCipher([]byte("0123456789abcdef"))
+	buf := make([]byte, 1400)
+	scratch := new(CTRScratch)
+	var iv [16]byte
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		CTRXor(block, scratch, &iv, buf, buf)
 	}
 }

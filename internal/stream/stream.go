@@ -69,12 +69,16 @@ var (
 	ErrClosed = errors.New("stream: connection closed")
 	ErrReset  = errors.New("stream: connection reset")
 	ErrEOF    = errors.New("stream: end of stream")
+
+	errShortSegment = errors.New("stream: short segment")
 )
 
 // BufferPool recycles payload buffers for emitted segments. Drivers that
 // install one (netsim.BufPool) take ownership of Segment.Payload slices
 // drained by Poll and must return each to the pool once marshaled onto the
 // wire; with a nil pool, payloads are plain allocations left to the GC.
+// The conn also draws its send and receive buffers (up to maxPooledBuf)
+// from the pool and returns them as soon as they drain.
 type BufferPool interface {
 	// Get returns a length-n buffer with undefined contents.
 	Get(n int) []byte
@@ -88,8 +92,9 @@ type Config struct {
 	Window     int // receive window advertised to the peer
 	SendBuf    int // local send buffer bound
 	InitialRTO time.Duration
-	// Pool, when non-nil, supplies payload buffers for outgoing segments;
-	// see BufferPool for the ownership contract.
+	// Pool, when non-nil, supplies payload buffers for outgoing segments
+	// and the conn's own send/receive buffers; see BufferPool for the
+	// ownership contract.
 	Pool BufferPool
 	// Now is the connection's epoch; segments timestamps are durations
 	// from an arbitrary zero maintained by the driver.
@@ -118,9 +123,9 @@ type Conn struct {
 
 	// Send side.
 	sndISS  uint32
-	sndUna  uint32 // oldest unacknowledged
-	sndNxt  uint32 // next sequence to send
-	sndBuf  []byte // unsent+unacked bytes, starting at sndUna
+	sndUna  uint32    // oldest unacknowledged
+	sndNxt  uint32    // next sequence to send
+	sndBuf  byteQueue // unsent+unacked bytes, starting at sndUna
 	peerWnd uint32
 	// Congestion control (Reno-style slow start + AIMD).
 	cwnd        int
@@ -141,7 +146,7 @@ type Conn struct {
 	// Receive side.
 	rcvISS    uint32
 	rcvNxt    uint32
-	rcvBuf    []byte
+	rcvBuf    byteQueue // in-order bytes not yet Read
 	oooSegs   []Segment // out-of-order segments awaiting the gap fill
 	peerFin   bool
 	finRcvSeq uint32
@@ -180,16 +185,9 @@ type Segment struct {
 // HeaderSize is the marshaled segment header length in bytes.
 const HeaderSize = 14
 
-// Marshal encodes the segment.
-func (s Segment) Marshal() []byte {
-	b := make([]byte, HeaderSize+len(s.Payload))
-	s.MarshalInto(b)
-	return b
-}
-
 // MarshalInto encodes the segment into b, which must be at least
-// HeaderSize+len(s.Payload) bytes; drivers use it to build wire units in
-// pooled buffers without the intermediate Marshal allocation.
+// HeaderSize+len(s.Payload) bytes; drivers build wire units in pooled
+// buffers with it.
 func (s Segment) MarshalInto(b []byte) {
 	b[0] = s.Flags
 	b[1] = 0
@@ -202,7 +200,7 @@ func (s Segment) MarshalInto(b []byte) {
 // ParseSegment decodes a segment; it errors on short input.
 func ParseSegment(b []byte) (Segment, error) {
 	if len(b) < HeaderSize {
-		return Segment{}, errors.New("stream: short segment")
+		return Segment{}, errShortSegment
 	}
 	return Segment{
 		Flags:   b[0],
@@ -269,7 +267,7 @@ func (c *Conn) Established() bool {
 // Readable reports whether Read would make progress (data buffered or EOF
 // or reset pending).
 func (c *Conn) Readable() bool {
-	return len(c.rcvBuf) > 0 || (c.peerFin && c.rcvNxt == c.finRcvSeq+1) || c.state == StateReset
+	return c.rcvBuf.len() > 0 || (c.peerFin && c.rcvNxt == c.finRcvSeq+1) || c.state == StateReset
 }
 
 // Writable reports whether Write can accept at least one byte.
@@ -277,7 +275,7 @@ func (c *Conn) Writable() bool {
 	if c.state == StateReset || c.finQueued {
 		return false
 	}
-	return len(c.sndBuf) < c.cfg.SendBuf
+	return c.sndBuf.len() < c.cfg.SendBuf
 }
 
 // Write appends data to the send buffer, returning how much was accepted.
@@ -288,21 +286,21 @@ func (c *Conn) Write(b []byte) (int, error) {
 	case c.finQueued || c.state == StateClosed:
 		return 0, ErrClosed
 	}
-	space := c.cfg.SendBuf - len(c.sndBuf)
+	space := c.cfg.SendBuf - c.sndBuf.len()
 	if space <= 0 {
 		return 0, nil
 	}
 	if len(b) > space {
 		b = b[:space]
 	}
-	c.sndBuf = append(c.sndBuf, b...)
+	c.sndBuf.push(c.cfg.Pool, b, c.cfg.SendBuf)
 	return len(b), nil
 }
 
 // Read consumes buffered received data. When the peer has closed and all
 // data is drained it returns ErrEOF.
 func (c *Conn) Read(b []byte) (int, error) {
-	if len(c.rcvBuf) == 0 {
+	if c.rcvBuf.len() == 0 {
 		if c.state == StateReset {
 			return 0, ErrReset
 		}
@@ -311,16 +309,16 @@ func (c *Conn) Read(b []byte) (int, error) {
 		}
 		return 0, nil
 	}
-	n := copy(b, c.rcvBuf)
-	c.rcvBuf = c.rcvBuf[n:]
+	n := copy(b, c.rcvBuf.live)
+	c.rcvBuf.pop(c.cfg.Pool, n)
 	return n, nil
 }
 
 // Buffered reports bytes available to Read.
-func (c *Conn) Buffered() int { return len(c.rcvBuf) }
+func (c *Conn) Buffered() int { return c.rcvBuf.len() }
 
 // Unacked reports bytes written but not yet acknowledged.
-func (c *Conn) Unacked() int { return len(c.sndBuf) }
+func (c *Conn) Unacked() int { return c.sndBuf.len() }
 
 // Close initiates an orderly shutdown. Buffered data is still delivered;
 // the FIN goes out after the send buffer drains.
@@ -387,7 +385,7 @@ func (c *Conn) payloadFree(b []byte) {
 }
 
 func (c *Conn) rcvWindow() uint32 {
-	w := c.cfg.Window - len(c.rcvBuf)
+	w := c.cfg.Window - c.rcvBuf.len()
 	if w < 0 {
 		w = 0
 	}
@@ -530,10 +528,10 @@ func (c *Conn) processAck(seg Segment, now time.Duration) {
 		if c.finSent && seg.Ack == c.finSeq+1 {
 			bufAck--
 		}
-		if int(bufAck) > len(c.sndBuf) {
-			bufAck = uint32(len(c.sndBuf))
+		if int(bufAck) > c.sndBuf.len() {
+			bufAck = uint32(c.sndBuf.len())
 		}
-		c.sndBuf = c.sndBuf[bufAck:]
+		c.sndBuf.pop(c.cfg.Pool, int(bufAck))
 		c.sndUna = seg.Ack
 		c.retries = 0
 		c.dupAcks = 0
@@ -596,11 +594,11 @@ func (c *Conn) processPayload(seg Segment) {
 	// Overlapping or exact: take the new part.
 	skip := c.rcvNxt - seg.Seq
 	data := seg.Payload[skip:]
-	room := c.cfg.Window - len(c.rcvBuf)
+	room := c.cfg.Window - c.rcvBuf.len()
 	if len(data) > room {
 		data = data[:room]
 	}
-	c.rcvBuf = append(c.rcvBuf, data...)
+	c.rcvBuf.push(c.cfg.Pool, data, c.cfg.Window)
 	c.rcvNxt += uint32(len(data))
 	c.BytesRcvd += uint64(len(data))
 	// Drain any out-of-order segments that are now contiguous.
@@ -618,11 +616,11 @@ func (c *Conn) processPayload(seg Segment) {
 			}
 			if seqLE(o.Seq, c.rcvNxt) && seqLT(c.rcvNxt, oEnd) {
 				d := o.Payload[c.rcvNxt-o.Seq:]
-				room := c.cfg.Window - len(c.rcvBuf)
+				room := c.cfg.Window - c.rcvBuf.len()
 				if len(d) > room {
 					d = d[:room]
 				}
-				c.rcvBuf = append(c.rcvBuf, d...)
+				c.rcvBuf.push(c.cfg.Pool, d, c.cfg.Window)
 				c.rcvNxt += uint32(len(d))
 				c.BytesRcvd += uint64(len(d))
 				c.payloadFree(o.Payload)
@@ -711,7 +709,8 @@ func (c *Conn) retransmit(now time.Duration) {
 		c.armRTO(now)
 		return
 	}
-	n := len(c.sndBuf)
+	live := c.sndBuf.live
+	n := len(live)
 	if n == 0 {
 		return
 	}
@@ -728,7 +727,7 @@ func (c *Conn) retransmit(now time.Duration) {
 	if n <= 0 {
 		return
 	}
-	payload := c.payloadCopy(c.sndBuf[:n])
+	payload := c.payloadCopy(live[:n])
 	c.emit(Segment{Flags: FlagACK, Seq: c.sndUna, Ack: c.rcvNxt, Payload: payload})
 	c.armRTO(now)
 }
@@ -737,12 +736,20 @@ func (c *Conn) retransmit(now time.Duration) {
 // permitted by the window, then returns queued segments and the next timer
 // deadline (zero when no timer is armed).
 func (c *Conn) Poll(now time.Duration) ([]Segment, time.Duration) {
+	return c.PollAppend(nil, now)
+}
+
+// PollAppend is Poll appending the drained segments to dst, so a driver
+// that recycles dst polls without allocating. The conn keeps its own
+// output queue for reuse; the returned segments do not alias it.
+func (c *Conn) PollAppend(dst []Segment, now time.Duration) ([]Segment, time.Duration) {
 	if c.Established() && c.state != StateLastAck {
 		c.packetize(now)
 	}
-	out := c.out
-	c.out = nil
-	return out, c.rtoDeadline
+	dst = append(dst, c.out...)
+	clear(c.out) // the driver owns the payloads now
+	c.out = c.out[:0]
+	return dst, c.rtoDeadline
 }
 
 func (c *Conn) packetize(now time.Duration) {
@@ -751,7 +758,7 @@ func (c *Conn) packetize(now time.Duration) {
 		if c.finSent {
 			break
 		}
-		avail := len(c.sndBuf) - unsentStart
+		avail := c.sndBuf.len() - unsentStart
 		if avail <= 0 {
 			break
 		}
@@ -766,7 +773,7 @@ func (c *Conn) packetize(now time.Duration) {
 		if n > wnd {
 			n = wnd
 		}
-		payload := c.payloadCopy(c.sndBuf[unsentStart : unsentStart+n])
+		payload := c.payloadCopy(c.sndBuf.live[unsentStart : unsentStart+n])
 		seg := Segment{Flags: FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt, Payload: payload}
 		if !c.rttTiming {
 			c.rttTiming = true
@@ -781,7 +788,7 @@ func (c *Conn) packetize(now time.Duration) {
 		}
 	}
 	// Send FIN once the buffer is fully packetized.
-	if c.finQueued && !c.finSent && int(c.sndNxt-c.sndUna) == len(c.sndBuf) {
+	if c.finQueued && !c.finSent && int(c.sndNxt-c.sndUna) == c.sndBuf.len() {
 		c.finSent = true
 		c.finSeq = c.sndNxt
 		c.emit(Segment{Flags: FlagFIN | FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt})

@@ -375,7 +375,9 @@ func TestWindowLimitsInFlight(t *testing.T) {
 
 func TestSegmentMarshalRoundTrip(t *testing.T) {
 	in := Segment{Flags: FlagACK | FlagFIN, Seq: 0xdeadbeef, Ack: 0x01020304, Window: 87381, Payload: []byte("payload")}
-	out, err := ParseSegment(in.Marshal())
+	wire := make([]byte, HeaderSize+len(in.Payload))
+	in.MarshalInto(wire)
+	out, err := ParseSegment(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
