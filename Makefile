@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check lint lint-budget budget lint-fix-scan vet build test perfbench race bench-smoke fuzz-smoke chaos-smoke storm-smoke bench bench-full
+.PHONY: all check lint lint-budget budget lint-fix-scan vet build test perfbench race bench-smoke fuzz-smoke chaos-smoke storm-smoke bench-full
 
 all: check
 
@@ -78,10 +78,11 @@ race:
 # Fast allocation smoke: the Seal/Record benches report B/op and allocs/op;
 # the AllocsPerRun guard tests (run by `test`) enforce the 0-alloc contract.
 # The scheduler microbenches ride along so a regression in the
-# run-to-completion core (event dispatch, timer churn) shows up in B/op
-# before it shows up in BENCH_SIM.json.
+# run-to-completion core (event dispatch, timer churn, Proc goroutine
+# handoff) shows up in B/op before it shows up in the benchmark harness
+# (bash _perfbench/run.sh; see _perfbench/METRICS.md).
 bench-smoke:
-	$(GO) test -run=NONE -bench='Seal|Record|EventThroughput|TimerResetFire|ProcSleepWake' \
+	$(GO) test -run=NONE -bench='Seal|Record|EventThroughput|TimerResetFire|ProcSleepWake|ProcContextSwitch' \
 		-benchtime=10x -benchmem \
 		./internal/esp ./internal/tlslite ./internal/keymat ./internal/netsim
 
@@ -110,27 +111,6 @@ chaos-smoke:
 # recovery / shed table per transport tier. Byte-identical for a fixed seed.
 storm-smoke:
 	$(GO) run ./cmd/benchcloud -run storm -short -seed 1
-
-# Regenerate the tracked benchmark snapshots: BENCH_SIM.json (scheduler
-# microbench latencies plus fig2/chaos short-run wall clock, against the
-# recorded pre-rewrite baseline), BENCH_CONTROL.json (the full-scale
-# storm experiment: re-contact latency, recovery time, shed and
-# retransmit counts per transport tier) and BENCH_DATAPLANE.json (ESP
-# seal/open GB/s per cipher suite plus real-UDP localhost goodput and
-# syscalls-per-packet, batching on vs off). Commit the refreshed files
-# when the numbers move for a reason. Each snapshot is written to a temp
-# file and renamed into place, so an interrupted or failing run can
-# never leave a truncated tracked file behind.
-bench:
-	$(GO) run ./cmd/benchcloud -run simbench -json > BENCH_SIM.json.tmp
-	mv BENCH_SIM.json.tmp BENCH_SIM.json
-	@cat BENCH_SIM.json
-	$(GO) run ./cmd/benchcloud -run storm -json > BENCH_CONTROL.json.tmp
-	mv BENCH_CONTROL.json.tmp BENCH_CONTROL.json
-	@cat BENCH_CONTROL.json
-	$(GO) run ./cmd/benchcloud -run dataplane -json > BENCH_DATAPLANE.json.tmp
-	mv BENCH_DATAPLANE.json.tmp BENCH_DATAPLANE.json
-	@cat BENCH_DATAPLANE.json
 
 # Full Go benchmark sweep, including the paper-figure reproductions.
 bench-full:

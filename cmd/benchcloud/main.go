@@ -9,17 +9,13 @@
 //	benchcloud -run dos       §IV-B: BEX flood, fixed vs adaptive puzzles
 //	benchcloud -run chaos     fault schedule: request loss + recovery per scenario
 //	benchcloud -run storm     control-plane overload: host evacuation under a
-//	                          re-contact herd (-json emits BENCH_CONTROL.json)
+//	                          re-contact herd
 //	benchcloud -run all       everything above
-//	benchcloud -run simbench  scheduler throughput + experiment wall clock
-//	                          (not part of `all`; -json emits BENCH_SIM.json)
-//	benchcloud -run dataplane ESP seal/open throughput per cipher suite +
-//	                          real-UDP localhost goodput and syscall
-//	                          amortization (not part of `all`; -json emits
-//	                          BENCH_DATAPLANE.json)
 //
 // Durations are virtual time; -short trims them for quick runs.
 // -cpuprofile writes a pprof CPU profile covering the selected runs.
+// Host performance is measured by the harness in _perfbench (see
+// BENCHMARK.json and _perfbench/METRICS.md), not by this command.
 package main
 
 import (
@@ -36,10 +32,9 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment: fig2|rtt|fig3|private|bex|dos|chaos|storm|simbench|dataplane|all")
+	run := flag.String("run", "all", "experiment: fig2|rtt|fig3|private|bex|dos|chaos|storm|all")
 	short := flag.Bool("short", false, "shorter virtual durations")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	jsonOut := flag.Bool("json", false, "simbench/storm/dataplane: emit the BENCH_SIM.json / BENCH_CONTROL.json / BENCH_DATAPLANE.json document on stdout")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	modern := flag.Bool("modern", false, "fig3: negotiate the modern AEAD HIP_CIPHER set (keymat.PreferredAEAD) instead of the 2012 transforms")
 	flag.Parse()
@@ -135,15 +130,15 @@ func main() {
 	}
 	if want("storm") {
 		ran = true
-		runStormBench(*seed, *short, *jsonOut)
-	}
-	if strings.Contains(*run, "simbench") {
-		ran = true
-		runSimBench(*seed, *jsonOut)
-	}
-	if strings.Contains(*run, "dataplane") {
-		ran = true
-		runDataplaneBench(*jsonOut)
+		cfg := experiments.StormConfig{Seed: *seed}
+		if *short {
+			cfg.Duration = 12 * time.Second
+			cfg.Servers = 4
+			cfg.Clients = 48
+		}
+		fmt.Println("running storm (evacuation + re-contact herd, 3 scenarios)...")
+		_, tbl := experiments.RunStorm(cfg)
+		fmt.Println(tbl)
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *run)

@@ -12,7 +12,7 @@ import (
 // plane and the simulator core their 0-alloc hot paths (19.4 ns/event),
 // but the only guard was a handful of runtime AllocsPerRun tests — one
 // stray fmt.Sprintf, boxing conversion or escaping closure in a dispatch
-// loop silently erodes the BENCH_SIM.json trajectory. HotPath computes
+// loop silently erodes the measured event throughput. HotPath computes
 // the transitive *hot set* from the declared roots below (the event
 // dispatch loop, the packet pumps, the seal/open fast paths, the HIP
 // packet/timer handlers) by walking the PR 8 call graph, and flags

@@ -337,9 +337,11 @@ func BenchmarkOpenCTR1400(b *testing.B)  { benchOpen(b, keymat.SuiteAESCTRSHA256
 func BenchmarkOpenNull1400(b *testing.B) { benchOpen(b, keymat.SuiteNullSHA256) }
 
 func BenchmarkOpenAppendCTR1400(b *testing.B)  { benchOpenAppend(b, keymat.SuiteAESCTRSHA256) }
+func BenchmarkOpenAppendCBC1400(b *testing.B)  { benchOpenAppend(b, keymat.SuiteAESCBCSHA256) }
 func BenchmarkOpenAppendNull1400(b *testing.B) { benchOpenAppend(b, keymat.SuiteNullSHA256) }
 
 func BenchmarkOpenAppendGCM128_1400(b *testing.B) { benchOpenAppend(b, keymat.SuiteAESGCM128) }
+func BenchmarkOpenAppendGCM256_1400(b *testing.B) { benchOpenAppend(b, keymat.SuiteAESGCM256) }
 func BenchmarkOpenAppendChaCha1400(b *testing.B) {
 	benchOpenAppend(b, keymat.SuiteChaCha20Poly1305)
 }

@@ -10,11 +10,6 @@ import (
 // receive buffer arena at rxBatchMax * 64KiB).
 const rxBatchMax = 32
 
-// VectoredIO reports whether this build carries the sendmmsg/recvmmsg
-// fast path (Linux amd64/arm64). Elsewhere batching still amortizes
-// scheduling, but each datagram costs one syscall.
-func VectoredIO() bool { return batchIO }
-
 // sendLoop is the engine-independent fallback: one write syscall per
 // frame. It stops at the first failure so the caller can attribute the
 // error to the exact frame.

@@ -148,7 +148,7 @@ func (e *rxEngine) recvmmsg(fd uintptr) bool {
 // read drains up to len(bufs) datagrams with one recvmmsg, filling
 // sizes and source endpoints per message.
 func (e *rxEngine) read(pc *net.UDPConn, rc syscall.RawConn, bufs [][]byte, sizes []int, eps []netip.AddrPort) (cnt, nsys int, err error) {
-	if rc == nil || len(bufs) == 1 {
+	if rc == nil {
 		return readOne(pc, bufs, sizes, eps)
 	}
 	n := len(bufs)

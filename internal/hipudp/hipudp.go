@@ -11,8 +11,8 @@
 //
 // Buffers follow the simulator's ownership contract (netsim.GetBuf /
 // PutBuf): every outgoing frame is one pooled buffer, sealed in place
-// after its type byte and released by whichever engine writes it to the
-// socket (or drops it). Inbound ESP is opened straight out of the
+// after its type byte and released by the sender once it is written to
+// the socket (or dropped). Inbound ESP is opened straight out of the
 // receive arena into per-stack scratch, which the stream core copies
 // from; only HIP control packets are copied out of the arena, because
 // the control plane may retain them.
@@ -22,7 +22,6 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math/rand"
 	"net"
 	"net/netip"
@@ -60,26 +59,16 @@ var (
 	ErrPortInUse   = errors.New("hipudp: port already bound")
 )
 
-// Options tunes the stack's socket I/O engine.
-type Options struct {
-	// TxShards is the number of asynchronous sender shards. Outgoing
-	// frames hash by destination endpoint — the stack installs one ESP SA
-	// pair and one endpoint per peer, so endpoint sharding is per-SA
-	// sharding: one association's frames stay ordered on one shard while
-	// different associations transmit concurrently and amortize syscalls
-	// via sendmmsg batching. 0 disables the sender: frames go out
-	// synchronously, one syscall each, from the protocol goroutine.
-	TxShards int
-	// RxBatch is how many datagrams one receive syscall may drain
-	// (recvmmsg on Linux; capped at rxBatchMax). 0 or 1 reads singly.
-	RxBatch int
-}
+// Options is kept for source compatibility; the stack has no tunable
+// I/O settings.
+//
+// Deprecated: use NewStack.
+type Options struct{}
 
-// DefaultOptions enables batched I/O: two sender shards and full-width
-// receive vectors.
-func DefaultOptions() Options {
-	return Options{TxShards: 2, RxBatch: rxBatchMax}
-}
+// DefaultOptions returns the zero Options.
+//
+// Deprecated: use NewStack.
+func DefaultOptions() Options { return Options{} }
 
 // Stack is a HIP endpoint over one UDP socket.
 type Stack struct {
@@ -87,7 +76,6 @@ type Stack struct {
 	host  *hip.Host
 	pc    *net.UDPConn
 	rc    syscall.RawConn
-	opts  Options
 	epoch time.Time
 
 	// peers maps HITs to UDP endpoints (the static hosts-file role).
@@ -115,7 +103,7 @@ type Stack struct {
 	segs   []stream.Segment
 	rxOpen []byte
 
-	// Socket counters and the async sender (nil when TxShards == 0).
+	// Socket counters and the async sender.
 	stats   ioStats
 	txErrMu sync.Mutex
 	txErr   error
@@ -140,16 +128,17 @@ func cryptoSeed() int64 {
 	return int64(binary.LittleEndian.Uint64(b[:]))
 }
 
-// NewStack binds a UDP socket at listen (e.g. "127.0.0.1:10500") for the
-// given HIP host, with batched I/O defaults. The host's configured
-// locator should match the bound address.
-func NewStack(host *hip.Host, listen string) (*Stack, error) {
-	return NewStackOpts(host, listen, DefaultOptions())
+// NewStackOpts is NewStack.
+//
+// Deprecated: use NewStack.
+func NewStackOpts(host *hip.Host, listen string, _ Options) (*Stack, error) {
+	return NewStack(host, listen)
 }
 
-// NewStackOpts is NewStack with explicit I/O options (Options{} yields
-// the fully synchronous, one-syscall-per-packet engine).
-func NewStackOpts(host *hip.Host, listen string, opts Options) (*Stack, error) {
+// NewStack binds a UDP socket at listen (e.g. "127.0.0.1:10500") for the
+// given HIP host, with batched socket I/O. The host's configured locator
+// should match the bound address.
+func NewStack(host *hip.Host, listen string) (*Stack, error) {
 	addr, err := net.ResolveUDPAddr("udp", listen)
 	if err != nil {
 		return nil, err
@@ -161,7 +150,6 @@ func NewStackOpts(host *hip.Host, listen string, opts Options) (*Stack, error) {
 	s := &Stack{
 		host:      host,
 		pc:        pc,
-		opts:      opts,
 		epoch:     time.Now(),
 		peers:     make(map[netip.Addr]netip.AddrPort),
 		hitToEP:   make(map[netip.Addr]netip.AddrPort),
@@ -178,9 +166,7 @@ func NewStackOpts(host *hip.Host, listen string, opts Options) (*Stack, error) {
 	if rc, rcErr := pc.SyscallConn(); rcErr == nil {
 		s.rc = rc
 	}
-	if opts.TxShards > 0 {
-		s.sender = newSender(s, opts.TxShards)
-	}
+	s.sender = newSender(s)
 	go s.readLoop()
 	go s.timerLoop()
 	return s, nil
@@ -236,9 +222,7 @@ func (s *Stack) Close() error {
 	s.mu.Unlock()
 	// Drain the async sender before tearing the socket down so already
 	// queued frames still reach the wire.
-	if s.sender != nil {
-		s.sender.close()
-	}
+	s.sender.close()
 	return s.pc.Close()
 }
 
@@ -248,19 +232,12 @@ func (s *Stack) Close() error {
 // control plane may hold on to them.
 func (s *Stack) readLoop() {
 	eng := newRxEngine()
-	nbuf := s.opts.RxBatch
-	if nbuf < 1 {
-		nbuf = 1
-	}
-	if nbuf > rxBatchMax {
-		nbuf = rxBatchMax
-	}
-	bufs := make([][]byte, nbuf)
+	bufs := make([][]byte, rxBatchMax)
 	for i := range bufs {
 		bufs[i] = make([]byte, 64*1024)
 	}
-	sizes := make([]int, nbuf)
-	eps := make([]netip.AddrPort, nbuf)
+	sizes := make([]int, rxBatchMax)
+	eps := make([]netip.AddrPort, rxBatchMax)
 	for {
 		cnt, nsys, err := eng.read(s.pc, s.rc, bufs, sizes, eps)
 		s.stats.rxSyscalls.Add(uint64(nsys))
@@ -403,35 +380,7 @@ func (s *Stack) writeControl(ep netip.AddrPort, data []byte) {
 	frame := netsim.GetBuf(1 + len(data))
 	frame[0] = frameHIP
 	copy(frame[1:], data)
-	s.send(txPacket{buf: frame, ep: ep})
-}
-
-// send hands a framed datagram to the tx engine, which owns p.buf from
-// here on and releases it to the pool once it is written or dropped.
-func (s *Stack) send(p txPacket) {
-	if s.sender != nil {
-		s.sender.enqueue(s, p)
-		return
-	}
-	s.writeNow(p)
-}
-
-// writeNow is the synchronous send path (TxShards == 0). Errors and
-// short writes are counted and retained instead of being discarded.
-func (s *Stack) writeNow(p txPacket) {
-	n, err := s.pc.WriteToUDPAddrPort(p.buf, p.ep)
-	netsim.PutBuf(p.buf)
-	s.stats.txSyscalls.Add(1)
-	s.stats.txBatches.Add(1)
-	if err == nil && n != len(p.buf) {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		s.noteTxErr(err)
-		return
-	}
-	s.stats.txPackets.Add(1)
-	s.stats.txBytes.Add(uint64(n))
+	s.sender.enqueue(s, txPacket{buf: frame, ep: ep})
 }
 
 // timerLoop drives HIP retransmissions and stream RTOs.
@@ -511,7 +460,9 @@ func (s *Stack) newConnLocked(key connKey) *Conn {
 // pumpLocked flushes a conn's outgoing segments through ESP. Callers hold
 // s.mu. Each segment is marshaled behind the mux header into a pooled
 // plaintext buffer and sealed straight into a pooled frame after its
-// type byte; the frame then belongs to the tx engine.
+// type byte; the frame then belongs to the sender. A conn whose
+// stream has finished (closed or reset) leaves the conn table here; its
+// holder can still drain what it buffered.
 func (s *Stack) pumpLocked(c *Conn) {
 	segs, deadline := c.inner.PollAppend(s.segs[:0], s.now())
 	c.deadline = deadline
@@ -544,10 +495,13 @@ func (s *Stack) pumpLocked(c *Conn) {
 			continue
 		}
 		// pkt is frame grown in place: the type byte plus the ESP packet.
-		s.send(txPacket{buf: pkt, ep: ep})
+		s.sender.enqueue(s, txPacket{buf: pkt, ep: ep})
 	}
 	clear(segs) // drop payload references
 	s.segs = segs[:0]
+	if st := c.inner.State(); (st == stream.StateClosed || st == stream.StateReset) && s.conns[c.key] == c {
+		delete(s.conns, c.key)
+	}
 }
 
 // espEndpoint resolves where an ESP packet to peer's locator dst goes:
@@ -585,7 +539,6 @@ func (s *Stack) Dial(peerHIT netip.Addr, port uint16, timeout time.Duration) (*C
 		c.waitLocked(100 * time.Millisecond)
 	}
 	if c.inner.State() == stream.StateReset {
-		delete(s.conns, key)
 		s.mu.Unlock()
 		return nil, ErrRefused
 	}

@@ -264,3 +264,55 @@ func TestMultiplePeersShareOneIP(t *testing.T) {
 		c.Close()
 	}
 }
+
+// TestClosedConnsLeaveTable checks that finished streams leave the conn
+// table on both sides: a dialer that opens one stream per request (the
+// proxy pattern) must not grow the table, which the timer loop scans on
+// every tick, without bound.
+func TestClosedConnsLeaveTable(t *testing.T) {
+	a, b := pair(t)
+	l, err := b.Listen(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				io.Copy(c, c)
+			}()
+		}
+	}()
+	const cycles = 20
+	msg, got := []byte("ping"), make([]byte, 4)
+	for i := 0; i < cycles; i++ {
+		c, err := a.Dial(idB.HIT(), 7, 5*time.Second)
+		if err != nil {
+			t.Fatalf("cycle %d: dial: %v", i, err)
+		}
+		if _, err := c.Write(msg); err != nil {
+			t.Fatalf("cycle %d: write: %v", i, err)
+		}
+		if _, err := io.ReadFull(c, got); err != nil || !bytes.Equal(got, msg) {
+			t.Fatalf("cycle %d: echo %q, %v", i, got, err)
+		}
+		c.Close()
+	}
+	conns := func(s *Stack) int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.conns)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for conns(a) != 0 || conns(b) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d closed streams the dialer holds %d conns and the listener %d, want 0",
+				cycles, conns(a), conns(b))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

@@ -152,21 +152,10 @@ func requireComplete(t *testing.T, got [2]int64, total int) {
 	}
 }
 
-// TestFrameOwnershipSyncEngine covers writeNow, which releases each frame
-// right after its one write syscall.
-func TestFrameOwnershipSyncEngine(t *testing.T) {
-	a, b := pairOpts(t, Options{})
-	const total = 256 << 10
-	requireComplete(t, runTwoStreams(t, a, b, total, nil), total)
-	if st := a.Stats(); st.TxErrors != 0 {
-		t.Fatalf("TxErrors = %d on a healthy socket", st.TxErrors)
-	}
-}
-
 // TestFrameOwnershipShardedEngine covers the sender shards, which release
 // a batch after its sendmmsg.
 func TestFrameOwnershipShardedEngine(t *testing.T) {
-	a, b := pairOpts(t, DefaultOptions())
+	a, b := pair(t)
 	const total = 256 << 10
 	requireComplete(t, runTwoStreams(t, a, b, total, nil), total)
 	if st := a.Stats(); st.TxErrors != 0 {
@@ -181,7 +170,7 @@ func TestFrameOwnershipShardedEngine(t *testing.T) {
 // (Overflowing the streams' own shard would test the stream layer's
 // slow multi-loss recovery rather than frame ownership.)
 func TestFrameOwnershipQueueOverflow(t *testing.T) {
-	a, b := pairOpts(t, DefaultOptions())
+	a, b := pair(t)
 	streamShard := a.sender.shardFor(netip.AddrPortFrom(loopback, uint16(b.LocalAddr().Port)))
 	junk := netip.AddrPortFrom(loopback, 9)
 	for port := uint16(10); a.sender.shardFor(junk) == streamShard; port++ {
@@ -218,7 +207,7 @@ func TestFrameOwnershipQueueOverflow(t *testing.T) {
 // queued after the stack closes are released at enqueue. What arrived
 // before the break must still be byte-exact.
 func TestFrameOwnershipClosedSocket(t *testing.T) {
-	a, b := pairOpts(t, DefaultOptions())
+	a, b := pair(t)
 	const total = 1 << 20
 	got := runTwoStreams(t, a, b, total, func() {
 		a.pc.Close()

@@ -18,6 +18,8 @@ type txPacket struct {
 }
 
 const (
+	// txShards is the number of sender shards per stack.
+	txShards = 2
 	// txBatchSize is the most datagrams one sender flush covers (the
 	// sendmmsg vector length on Linux).
 	txBatchSize = 32
@@ -46,9 +48,9 @@ type senderShard struct {
 	closed bool
 }
 
-func newSender(s *Stack, shards int) *sender {
+func newSender(s *Stack) *sender {
 	sd := &sender{
-		shards: make([]*senderShard, shards),
+		shards: make([]*senderShard, txShards),
 		seed:   maphash.MakeSeed(),
 	}
 	for i := range sd.shards {
@@ -66,17 +68,15 @@ func newSender(s *Stack, shards int) *sender {
 
 // shardFor hashes the destination endpoint to a shard.
 func (sd *sender) shardFor(ep netip.AddrPort) *senderShard {
-	if len(sd.shards) == 1 {
-		return sd.shards[0]
-	}
 	var key [18]byte
 	*(*[16]byte)(key[:]) = ep.Addr().As16()
 	binary.BigEndian.PutUint16(key[16:], ep.Port())
 	return sd.shards[maphash.Bytes(sd.seed, key[:])%uint64(len(sd.shards))]
 }
 
-// enqueue hands a frame to its shard, dropping (and releasing) it on
-// overflow or after close.
+// enqueue hands a frame to its shard, which owns p.buf from here on and
+// releases it to the pool once it is written or refused. On overflow or
+// after close the frame is dropped (and released) here.
 func (sd *sender) enqueue(s *Stack, p txPacket) {
 	sh := sd.shardFor(p.ep)
 	sh.mu.Lock()

@@ -24,7 +24,8 @@ type Stats struct {
 	TxPackets, TxBytes uint64
 	// TxSyscalls counts send syscalls; with sendmmsg batching it grows
 	// slower than TxPackets — TxSyscalls/TxPackets is the syscalls-per-
-	// packet figure tracked in BENCH_DATAPLANE.json.
+	// packet figure the udp-bulk benchmark reports as
+	// hipudp.tx_syscalls_per_pkt (_perfbench/METRICS.md).
 	TxSyscalls uint64
 	// TxBatches counts sender flushes (each covering >=1 packet).
 	TxBatches uint64

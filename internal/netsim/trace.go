@@ -1,7 +1,5 @@
 package netsim
 
-import "fmt"
-
 // TraceKind classifies trace events.
 type TraceKind int
 
@@ -44,5 +42,3 @@ func PrintTracer(logf func(format string, args ...interface{})) Tracer {
 			at, kind, node, pkt.Proto, pkt.Src, pkt.Dst, pkt.Size, note)
 	}
 }
-
-var _ = fmt.Sprintf // keep fmt for PrintTracer documentation examples
